@@ -30,11 +30,6 @@ def TFLOPS(value: float) -> float:
     return value * 1e12
 
 
-def GFLOPS(value: float) -> float:
-    """Compute: gigaFLOP/s -> FLOP/s."""
-    return value * 1e9
-
-
 def ms(value: float) -> float:
     """Time: milliseconds -> microseconds."""
     return value * 1e3

@@ -7,7 +7,6 @@ from .affinity import (
 )
 from .experts import (
     ExpertWeights,
-    expert_flops,
     expert_forward,
     expert_weight_bytes,
     make_expert,
@@ -70,7 +69,7 @@ from .scheduling import (
 
 __all__ = [
     "DEFAULT_CACHE_HIT_DISCOUNT", "AffinityOutcome", "affinity_schedule",
-    "ExpertWeights", "expert_flops", "expert_forward", "expert_weight_bytes",
+    "ExpertWeights", "expert_forward", "expert_weight_bytes",
     "make_expert", "silu",
     "FusedExpertWeights", "FusedMoE", "fuse_expert", "moe_forward_reference",
     "OBLIVIOUS_BANDWIDTH_EFFICIENCY", "OBLIVIOUS_STREAMING_EFFICIENCY",

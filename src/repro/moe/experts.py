@@ -75,11 +75,6 @@ def expert_forward(
     return kernel.run(h, expert.down)
 
 
-def expert_flops(hidden_size: int, intermediate_size: int, tokens: int) -> float:
-    """Dense FLOPs of one expert FFN over ``tokens`` tokens."""
-    return 2.0 * tokens * hidden_size * intermediate_size * 3
-
-
 def expert_weight_bytes(
     hidden_size: int, intermediate_size: int, dtype: DType
 ) -> float:

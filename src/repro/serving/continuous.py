@@ -62,8 +62,9 @@ can fire.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,7 +88,7 @@ from ..sched.cuda_graph import GraphCache, GraphCacheConfig
 from ..sched.decode import (
     DecodeScheduleConfig,
     batched_step_time_us,
-    cache_aware_step_time_us,
+    cache_aware_step_time_us,   # noqa: F401 -- perfbench traces it by name
     kv_swap_transfer_us,
 )
 from ..sched.kv_offload import kv_page_transfer_us
@@ -100,7 +101,6 @@ from ..sched.workload import (
     BatchedDispatchSummary,
     DecodeLayerWork,
     ExpertGemmDispatch,
-    HybridChunkWork,
     apply_expert_cache,
     chunk_only_work,
     kv_token_bytes,
@@ -133,6 +133,11 @@ from .session import InferenceSession
 # makes per failed expert upload, each stalling the whole batch for the
 # full PCIe transfer on the degraded link.
 NAIVE_UPLOAD_ATTEMPTS = 8
+
+# The cache-timeline point of an iteration the expert cache sat out.
+_IDLE_CACHE_STEP = CacheStepResult(
+    step=0, hit_tokens=0, miss_tokens=0, n_hit_experts=0, uploads=(),
+    evictions=(), bytes_transferred=0.0, transfer_us=0.0, stall_us=0.0)
 
 # Per-expert token counts of the representative MoE layer for one decode
 # iteration; lets benchmarks inject non-stationary routing into the server.
@@ -211,6 +216,15 @@ class BatchSchedulerConfig:
         if (self.prefill_chunk_tokens is not None
                 and self.prefill_chunk_tokens <= 0):
             raise ConfigError("prefill_chunk_tokens must be positive")
+        # A request's context never outgrows the KV budget, so these bounds
+        # keep every priced context and chunk inside the cost buckets.
+        if self.kv_budget_tokens > BatchCostModel.CTX_BUCKETS[-1]:
+            raise ConfigError("kv_budget_tokens exceeds the largest priced "
+                              f"context ({BatchCostModel.CTX_BUCKETS[-1]})")
+        top_chunk = BatchCostModel.CHUNK_BUCKETS[-1]
+        if (self.prefill_chunk_tokens or 0) > top_chunk:
+            raise ConfigError("prefill_chunk_tokens exceeds the largest "
+                              f"priced chunk ({top_chunk})")
         if self.chunk_policy not in ("decode-priority", "prefill-priority"):
             raise ConfigError(
                 f"unknown chunk_policy {self.chunk_policy!r}; expected "
@@ -227,28 +241,54 @@ class BatchSchedulerConfig:
         resolve_backend(self.backend)
 
 
-class BatchCostModel:
-    """Caches simulated batched prefill/decode step costs.
+class StepKey(NamedTuple):
+    """Memo key of one priced iteration (:meth:`BatchCostModel.step_key`)."""
 
-    Decode steps are keyed by ``(batch_size, context bucket)``; each entry
-    runs the full task-graph simulator once via
-    :func:`~repro.sched.decode.batched_step_time_us` and keeps the
-    :class:`~repro.sched.workload.BatchedDispatchSummary` for
-    observability.  Batched prefill cost is keyed by the total prompt
-    tokens of the co-admitted requests, bucketed like the session's
-    :class:`~repro.serving.session.PhaseCostModel` -- but returning the
-    whole-pass cost (prefill is overhead-dominated, so cost is flat
-    across a bucket, not proportional to tokens).
+    batch: int                              # decode batch (0: chunk-only)
+    ctx: int                                # context bucket (0: no batch)
+    chunk: int = 0                          # chunk bucket (0: no chunk)
+    cache: tuple[int, int] | None = None    # (hit bucket, hit experts)
+    arm: ExpertGemmDispatch | None = None   # None: legacy blob pricing
+    pert: tuple | None = None               # None: prices as identity
+
+
+class BatchCostModel:
+    """Prices serving iterations through one memoized task-graph path.
+
+    :meth:`step_key` describes an iteration -- decode batch, prefill
+    chunk, expert-cache outcome, fault perturbation, any mix -- as one
+    :class:`StepKey`, and :meth:`price` runs the task-graph simulator
+    (:func:`~repro.sched.decode.batched_step_time_us`) once per key over
+    the key's layer works: the base decode works at the context bucket
+    (:func:`~repro.core.engine.batched_decode_works`), repriced for the
+    cache outcome (:func:`~repro.sched.workload.apply_expert_cache`),
+    then merged with the chunk's marginal work
+    (:func:`~repro.sched.workload.merge_hybrid_work`).  A perturbation
+    enters as the simulator's duration hook.  The ``*_step_us`` methods
+    delegate to :meth:`price`.
+
+    Contexts and chunks price at their bucket's ceiling.  Past 4096
+    tokens ``CTX_BUCKETS`` climbs a 2^(1/8) geometric ladder to 262144,
+    keeping memo ÷ direct (the simulator on the actual lengths) within
+    1.02 up to 128k contexts at batch 1-64
+    (``tests/test_pricing_fidelity.py``).  A context or chunk past the
+    top bucket raises :class:`~repro.errors.ConfigError`.
+
+    Batched prefill is keyed by the co-admitted prompts' total tokens,
+    bucketed like :class:`~repro.serving.session.PhaseCostModel` but
+    returning the whole-pass cost (prefill is overhead-dominated, so
+    cost is flat across a bucket).
     """
 
-    CTX_BUCKETS = (64, 256, 1024, 4096)
+    CTX_BUCKETS = (64, 256, 1024, 4096) + tuple(
+        round(4096 * 2 ** (k / 8)) for k in range(1, 49))
     PREFILL_BUCKETS = (32, 128, 512, 2048, 8192)
-    CHUNK_BUCKETS = (16, 32, 64, 128, 256, 512, 1024, 2048)
+    CHUNK_BUCKETS = tuple(16 << k for k in range(15))   # 16 .. 262144
 
     HIT_RATE_BUCKETS = 20        # cached-step pricing quantizes hit rate
     CONTIG_BUCKETS = 8           # dispatch pricing quantizes layout contiguity
 
-    def __init__(self, session: InferenceSession,
+    def __init__(self, session: InferenceSession, *,
                  ari_threshold: int | None = None,
                  gemm_dispatch: str = "legacy",
                  pipeline_stages: int = 1,
@@ -272,47 +312,34 @@ class BatchCostModel:
         self.pipeline_stages = pipeline_stages
         self._pipeline = (PipelineConfig(pipeline_stages)
                           if pipeline_stages > 1 else None)
-        # (stage ratio, boundary activation bytes) per step-shape memo key.
-        self._pipeline_factors: dict[tuple, tuple[float, tuple[float, ...]]]\
+        # Engine outputs (layer works, dispatch summary) keyed by
+        # (batch, context bucket, 0) for decode batches and
+        # (batch, 0, chunk bucket) for prefill chunks.
+        self._bases: dict[tuple[int, int, int], tuple[
+            list, BatchedDispatchSummary]] = {}
+        # Composed layer works per unperturbed key, and step prices.
+        self._works: dict[StepKey, list[DecodeLayerWork]] = {}
+        self._prices: dict[StepKey, float] = {}
+        # (stage ratio, boundary activation bytes) per clean step shape.
+        self._pipeline_factors: dict[StepKey, tuple[float, tuple[float, ...]]]\
             = {}
-        self._step: dict[tuple[int, int], float] = {}
-        self._summaries: dict[tuple[int, int], BatchedDispatchSummary] = {}
-        self._works: dict[tuple[int, int], list[DecodeLayerWork]] = {}
-        self._cached_step: dict[tuple, float] = {}
-        self._cached_works: dict[tuple, list[DecodeLayerWork]] = {}
-        # "auto" dispatch decisions, keyed by (shape, cache outcome,
-        # contiguity bucket) -- both arms are priced once, then reused.
-        self._dispatch_choice: dict[tuple, str] = {}
         self._prefill: dict[int, float] = {}
-        # Fault-perturbed variants, additionally keyed by the
-        # perturbation's price_key (piecewise-constant per fault window).
-        self._perturbed: dict[tuple, float] = {}
-        self._cached_pert: dict[tuple, float] = {}
-        # Hybrid (decode + prefill-chunk) iteration pricing: chunk layer
-        # works keyed by (batch size, chunk bucket); merged steps by the
-        # decode key plus the chunk bucket; cached/perturbed variants
-        # compose the existing cache and fault keys on top.
-        self._chunk_works: dict[tuple[int, int], list[HybridChunkWork]] = {}
-        self._chunk_summaries: dict[
-            tuple[int, int], BatchedDispatchSummary] = {}
-        self._hybrid_works: dict[tuple, list[DecodeLayerWork]] = {}
-        self._hybrid: dict[tuple, float] = {}
-        self._hybrid_pert: dict[tuple, float] = {}
-        self._cached_hybrid: dict[tuple, float] = {}
-        self._cached_hybrid_pert: dict[tuple, float] = {}
 
     @staticmethod
     def _bucket(value: int, buckets: tuple[int, ...]) -> int:
-        for b in buckets:
-            if value <= b:
-                return b
-        return buckets[-1]
+        i = bisect_left(buckets, value)
+        if i == len(buckets):
+            raise ConfigError(
+                f"{value} tokens exceed the largest priced bucket "
+                f"({buckets[-1]})")
+        return buckets[i]
 
-    def _key(self, context_lens: list[int]) -> tuple[int, int]:
-        if not context_lens:
-            raise ConfigError("decode step needs at least one request")
-        return (len(context_lens),
-                self._bucket(max(context_lens), self.CTX_BUCKETS))
+    @staticmethod
+    def _chunk(chunk_tokens: int) -> int:
+        """``chunk_tokens`` of an explicitly hybrid call, validated."""
+        if chunk_tokens <= 0:
+            raise ConfigError("chunk_tokens must be positive")
+        return chunk_tokens
 
     def _schedule_config(self) -> DecodeScheduleConfig:
         costs = self.session.costs
@@ -322,218 +349,6 @@ class BatchCostModel:
             top_k=costs.preset.top_k,
             n_deferred=self.session.n_deferred,
         )
-
-    def decode_step_us(self, context_lens: list[int]) -> float:
-        """Steady-state cost of one decode iteration over these requests."""
-        costs = self.session.costs
-        key = self._key(context_lens)
-        if key not in self._step:
-            bsz, ctx = key
-            works, summary = batched_decode_works(
-                costs.system, costs.preset, self.machine, costs.dtype,
-                context_lens=[ctx] * bsz, ari_threshold=self.ari_threshold,
-                backend=self.backend,
-            )
-            self._step[key] = batched_step_time_us(
-                works, self._schedule_config(), self.machine
-            )
-            self._summaries[key] = summary
-            self._works[key] = works
-        return self._step[key]
-
-    def attn_window_us(self, context_lens: list[int]) -> float:
-        """GPU attention time of one iteration -- the prefetch window."""
-        key = self._key(context_lens)
-        self.decode_step_us(context_lens)
-        return sum(w.gpu_attn_us for w in self._works[key])
-
-    def _hit_bucket(self, cache_step: CacheStepResult) -> int:
-        return round(self.HIT_RATE_BUCKETS * cache_step.hit_tokens
-                     / cache_step.total_tokens)
-
-    def _contig_idx(self, cache_step: CacheStepResult) -> int:
-        return round(self.CONTIG_BUCKETS * cache_step.layout_contiguity)
-
-    def _cached_works_for(
-        self, key: tuple[int, int], hit_bucket: int, n_hit_experts: int,
-        dispatch: ExpertGemmDispatch | None,
-    ) -> tuple[tuple, list[DecodeLayerWork]]:
-        """Memoized cache-repriced works for one (shape, outcome, dispatch).
-
-        The legacy (``dispatch is None``) memo key is exactly the
-        pre-dispatch shape ``(*key, hit_bucket, n_hit_experts)`` so legacy
-        pricing stays bit-identical; explicit dispatch arms extend it with
-        the mode and contiguity bucket.
-        """
-        if dispatch is None:
-            ck = (*key, hit_bucket, n_hit_experts)
-        else:
-            ck = (*key, hit_bucket, n_hit_experts, dispatch.mode,
-                  round(self.CONTIG_BUCKETS * dispatch.layout_contiguity))
-        if ck not in self._cached_works:
-            costs = self.session.costs
-            bsz = key[0]
-            layer_tokens = bsz * costs.preset.top_k
-            hit_tokens = round(layer_tokens * hit_bucket
-                               / self.HIT_RATE_BUCKETS)
-            self._cached_works[ck] = [
-                w if w.cpu_routed_us <= 0.0 else apply_expert_cache(
-                    w, costs.preset, self.machine, costs.dtype,
-                    total_tokens=layer_tokens, hit_tokens=hit_tokens,
-                    n_hit_experts=n_hit_experts, dispatch=dispatch,
-                )
-                for w in self._works[key]
-            ]
-        return ck, self._cached_works[ck]
-
-    def _arm_step_us(self, key: tuple[int, int], hit_bucket: int,
-                     n_hit_experts: int,
-                     dispatch: ExpertGemmDispatch | None) -> float:
-        """Clean cached-step price of one dispatch arm (memoized)."""
-        ck, works = self._cached_works_for(key, hit_bucket, n_hit_experts,
-                                           dispatch)
-        if ck not in self._cached_step:
-            self._cached_step[ck] = cache_aware_step_time_us(
-                works, self._schedule_config(), self.machine,
-            )
-        return self._cached_step[ck]
-
-    def _resolve_dispatch(self, key: tuple[int, int], hit_bucket: int,
-                          n_hit_experts: int,
-                          contig_idx: int) -> ExpertGemmDispatch | None:
-        """The dispatch arm pricing uses for one quantized cache outcome.
-
-        ``"legacy"`` (and any outcome with no hit experts) keeps the
-        blob model; ``"auto"`` prices the per-expert and grouped arms
-        through the full task-graph simulator once per quantized outcome
-        and picks the cheaper, memoizing the decision.
-        """
-        if self.gemm_dispatch == "legacy" or n_hit_experts == 0:
-            return None
-        contig = contig_idx / self.CONTIG_BUCKETS
-        if self.gemm_dispatch != "auto":
-            return ExpertGemmDispatch(self.gemm_dispatch, contig)
-        dk = (*key, hit_bucket, n_hit_experts, contig_idx)
-        if dk not in self._dispatch_choice:
-            per = self._arm_step_us(
-                key, hit_bucket, n_hit_experts,
-                ExpertGemmDispatch("per-expert", contig))
-            grp = self._arm_step_us(
-                key, hit_bucket, n_hit_experts,
-                ExpertGemmDispatch("grouped", contig))
-            self._dispatch_choice[dk] = ("grouped" if grp <= per
-                                         else "per-expert")
-        return ExpertGemmDispatch(self._dispatch_choice[dk], contig)
-
-    def gemm_dispatch_for(
-        self, context_lens: list[int], cache_step: CacheStepResult,
-    ) -> ExpertGemmDispatch | None:
-        """The dispatch arm chosen for this iteration's cache outcome.
-
-        ``None`` under legacy pricing or when nothing hit; the serving
-        engine uses this for the ``grouped_gemm_*`` counters and the
-        graph-topology key.
-        """
-        if cache_step.total_tokens == 0:
-            return None
-        key = self._key(context_lens)
-        self.decode_step_us(context_lens)          # populate works cache
-        return self._resolve_dispatch(
-            key, self._hit_bucket(cache_step), cache_step.n_hit_experts,
-            self._contig_idx(cache_step))
-
-    def _cached_key_works(
-        self, context_lens: list[int], cache_step: CacheStepResult,
-    ) -> tuple[tuple, list[DecodeLayerWork]]:
-        """Memo key and cache-repriced layer works for one cache outcome.
-
-        MoE layers are repriced with cache hits as GPU expert work and
-        misses on the CPU (:func:`repro.sched.workload.apply_expert_cache`,
-        hit rate quantized to 1/``HIT_RATE_BUCKETS`` and layout
-        contiguity to 1/``CONTIG_BUCKETS`` for memoization), under the
-        dispatch arm :meth:`_resolve_dispatch` selects.  Shared by the
-        clean and fault-perturbed cached pricing paths so both see the
-        same repriced task graph.
-        """
-        key = self._key(context_lens)
-        self.decode_step_us(context_lens)          # populate works cache
-        hit_bucket = self._hit_bucket(cache_step)
-        dispatch = self._resolve_dispatch(
-            key, hit_bucket, cache_step.n_hit_experts,
-            self._contig_idx(cache_step))
-        return self._cached_works_for(key, hit_bucket,
-                                      cache_step.n_hit_experts, dispatch)
-
-    def cached_decode_step_us(self, context_lens: list[int],
-                              cache_step: CacheStepResult) -> float:
-        """One iteration's cost under the expert cache's latest outcome.
-
-        The cache step's non-overlapped prefetch stall is added on top of
-        the memoized repriced step (see :meth:`_cached_key_works`).
-        """
-        if cache_step.total_tokens == 0:
-            return self.decode_step_us(context_lens) + cache_step.stall_us
-        ck, works = self._cached_key_works(context_lens, cache_step)
-        if ck not in self._cached_step:
-            self._cached_step[ck] = cache_aware_step_time_us(
-                works, self._schedule_config(), self.machine,
-            )
-        return self._cached_step[ck] + cache_step.stall_us
-
-    def perturbed_decode_step_us(self, context_lens: list[int],
-                                 pert: StepPerturbation) -> float:
-        """Decode-iteration cost under an active fault perturbation.
-
-        Reruns the task-graph simulation with the perturbation's duration
-        hook installed, so stragglers/NUMA contention stretch CPU tasks
-        and PCIe degradation stretches transfers *inside* the overlap
-        structure (a slower link may hide behind attention rather than
-        adding linearly).  Identity perturbations short-circuit to the
-        unperturbed memo so a run with an empty fault plan is
-        bit-identical to one with no injector at all.
-        """
-        if pert.prices_identity:
-            return self.decode_step_us(context_lens)
-        key = self._key(context_lens)
-        self.decode_step_us(context_lens)          # populate works cache
-        pk = (key, pert.price_key())
-        if pk not in self._perturbed:
-            self._perturbed[pk] = batched_step_time_us(
-                self._works[key], self._schedule_config(),
-                self.machine, perturb=pert.sim_hook(),
-            )
-        return self._perturbed[pk]
-
-    def perturbed_cached_step_us(self, context_lens: list[int],
-                                 cache_step: CacheStepResult,
-                                 pert: StepPerturbation) -> float:
-        """Cache-aware iteration cost under an active fault perturbation.
-
-        Same repriced works as :meth:`cached_decode_step_us` (so the
-        cache's hit/miss split is identical), simulated under the
-        perturbation's duration hook; the cache step's stall -- already
-        computed against the degraded link by the caller -- rides on top.
-        """
-        if pert.prices_identity:
-            return self.cached_decode_step_us(context_lens, cache_step)
-        if cache_step.total_tokens == 0:
-            return (self.perturbed_decode_step_us(context_lens, pert)
-                    + cache_step.stall_us)
-        ck, works = self._cached_key_works(context_lens, cache_step)
-        pk = (ck, pert.price_key())
-        if pk not in self._cached_pert:
-            self._cached_pert[pk] = cache_aware_step_time_us(
-                works, self._schedule_config(), self.machine,
-                perturb=pert.sim_hook(),
-            )
-        return self._cached_pert[pk] + cache_step.stall_us
-
-    def dispatch_summary(self, context_lens: list[int]) -> BatchedDispatchSummary:
-        """The ARI dispatch decisions behind :meth:`decode_step_us`."""
-        self.decode_step_us(context_lens)
-        return self._summaries[self._key(context_lens)]
-
-    # -- hybrid (decode + prefill-chunk) iterations --------------------------
 
     def _hybrid_schedule_config(self) -> DecodeScheduleConfig:
         """Mixed iterations run with Expert Deferral disabled.
@@ -545,164 +360,247 @@ class BatchCostModel:
         """
         return replace(self._schedule_config(), n_deferred=0)
 
-    def _chunk_key(self, batch_size: int, chunk_tokens: int
-                   ) -> tuple[int, int]:
-        if chunk_tokens <= 0:
-            raise ConfigError("chunk_tokens must be positive")
-        return (batch_size, self._bucket(chunk_tokens, self.CHUNK_BUCKETS))
+    # -- the pricing path ----------------------------------------------------
 
-    def _chunk_layer_works(self, batch_size: int,
-                           chunk_tokens: int) -> list[HybridChunkWork]:
-        """Per-layer marginal chunk works, memoized on (batch, chunk bucket).
+    def step_key(self, context_lens: list[int], chunk_tokens: int = 0,
+                 cache_step: CacheStepResult | None = None,
+                 pert: StepPerturbation = IDENTITY_PERTURBATION) -> StepKey:
+        """The :class:`StepKey` of one iteration; decides every short-circuit.
 
-        Chunk sizes are bucketed like context lengths; the largest bucket
-        prices every bigger chunk (serving configs should keep
-        ``prefill_chunk_tokens`` at or below it).
+        ``context_lens`` may be empty only alongside a chunk (chunk-only
+        iteration: nothing is decodable yet).  A cache outcome that saw
+        tokens keys on its hit rate quantized to 1/``HIT_RATE_BUCKETS``
+        and its hit-expert count, plus -- outside legacy dispatch, when
+        experts hit -- the dispatch arm with layout contiguity quantized
+        to 1/``CONTIG_BUCKETS``; ``"auto"`` prices the per-expert and
+        grouped arms once per quantized outcome and keys the cheaper.  A
+        perturbation that prices as identity keys like no perturbation.
         """
-        ck = self._chunk_key(batch_size, chunk_tokens)
-        if ck not in self._chunk_works:
+        if chunk_tokens < 0:
+            raise ConfigError("chunk_tokens must be non-negative")
+        batch = len(context_lens)
+        if not batch and not chunk_tokens:
+            raise ConfigError("decode step needs at least one request")
+        ctx = self._bucket(max(context_lens), self.CTX_BUCKETS) if batch else 0
+        chunk = (self._bucket(chunk_tokens, self.CHUNK_BUCKETS)
+                 if chunk_tokens else 0)
+        cache = arm = None
+        if batch and cache_step is not None and cache_step.total_tokens:
+            cache = (round(self.HIT_RATE_BUCKETS * cache_step.hit_tokens
+                           / cache_step.total_tokens),
+                     cache_step.n_hit_experts)
+            if self.gemm_dispatch != "legacy" and cache[1]:
+                contig = round(self.CONTIG_BUCKETS
+                               * cache_step.layout_contiguity
+                               ) / self.CONTIG_BUCKETS
+                if self.gemm_dispatch == "auto":
+                    arms = StepKey(batch, ctx, 0, cache)
+                    per = ExpertGemmDispatch("per-expert", contig)
+                    grp = ExpertGemmDispatch("grouped", contig)
+                    per_us = self.price(arms._replace(arm=per))
+                    arm = (grp if self.price(arms._replace(arm=grp)) <= per_us
+                           else per)
+                else:
+                    arm = ExpertGemmDispatch(self.gemm_dispatch, contig)
+        return StepKey(batch, ctx, chunk, cache, arm,
+                       None if pert.prices_identity else pert.price_key())
+
+    def price(self, key: StepKey,
+              pert: StepPerturbation = IDENTITY_PERTURBATION) -> float:
+        """Steady-state cost of one iteration, memoized on its key.
+
+        A miss runs the task-graph simulator once over the key's layer
+        works, with Expert Deferral off when a chunk rides along
+        (:meth:`_hybrid_schedule_config`) and ``pert``'s duration hook
+        installed when the key is perturbed -- stragglers and NUMA
+        contention stretch CPU tasks, PCIe degradation stretches
+        transfers *inside* the overlap structure.  ``pert`` must be the
+        perturbation the key was built with.
+        """
+        cost = self._prices.get(key)
+        if cost is None:
+            if key.pert is not None and key.pert != pert.price_key():
+                raise ConfigError("pert does not match the key's perturbation")
+            if key == (key.batch, key.ctx, 0, None, None, None):
+                works = self._step_works(key)
+            else:
+                works = self._works_of(key._replace(pert=None))
+            cost = self._prices[key] = batched_step_time_us(
+                works,
+                (self._hybrid_schedule_config() if key.chunk
+                 else self._schedule_config()),
+                self.machine,
+                perturb=None if key.pert is None else pert.sim_hook())
+        return cost
+
+    def _works_of(self, key: StepKey) -> list[DecodeLayerWork]:
+        """Layer works of an unperturbed key, for pricing or inspection.
+
+        A decode shape's clean step is priced the first time anything
+        about the shape is resolved, whichever path reaches it first.
+        """
+        if key.batch:
+            self.price(StepKey(key.batch, key.ctx))
+        return self._step_works(key)
+
+    def _step_works(self, key: StepKey) -> list[DecodeLayerWork]:
+        works = self._works.get(key)
+        if works is None:
+            if key.chunk:
+                chunk = self._base(key.batch, 0, key.chunk)[0]
+                works = ([merge_hybrid_work(d, c) for d, c in zip(
+                             self._step_works(key._replace(chunk=0)), chunk)]
+                         if key.batch else [chunk_only_work(c) for c in chunk])
+            elif key.cache is not None:
+                costs = self.session.costs
+                layer_tokens = key.batch * costs.preset.top_k
+                hit_bucket, n_hit_experts = key.cache
+                works = [
+                    w if w.cpu_routed_us <= 0.0 else apply_expert_cache(
+                        w, costs.preset, self.machine, costs.dtype,
+                        total_tokens=layer_tokens,
+                        hit_tokens=round(layer_tokens * hit_bucket
+                                         / self.HIT_RATE_BUCKETS),
+                        n_hit_experts=n_hit_experts, dispatch=key.arm)
+                    for w in self._step_works(StepKey(key.batch, key.ctx))
+                ]
+            else:
+                works = self._base(key.batch, key.ctx, 0)[0]
+            self._works[key] = works
+        return works
+
+    def _base(self, batch: int, ctx: int,
+              chunk: int) -> tuple[list, BatchedDispatchSummary]:
+        """Engine layer works and ARI dispatch summary of one bucket."""
+        base = self._bases.get((batch, ctx, chunk))
+        if base is None:
             costs = self.session.costs
-            works, summary = hybrid_chunk_works(
-                costs.system, costs.preset, self.machine, costs.dtype,
-                chunk_tokens=ck[1], batch_size=ck[0],
-                ari_threshold=self.ari_threshold,
-                backend=self.backend,
-            )
-            self._chunk_works[ck] = works
-            self._chunk_summaries[ck] = summary
-        return self._chunk_works[ck]
+            if chunk:
+                base = hybrid_chunk_works(
+                    costs.system, costs.preset, self.machine, costs.dtype,
+                    chunk_tokens=chunk, batch_size=batch,
+                    ari_threshold=self.ari_threshold, backend=self.backend)
+            else:
+                base = batched_decode_works(
+                    costs.system, costs.preset, self.machine, costs.dtype,
+                    context_lens=[ctx] * batch,
+                    ari_threshold=self.ari_threshold, backend=self.backend)
+            self._bases[(batch, ctx, chunk)] = base
+        return base
 
-    def _hybrid_key_works(
-        self, context_lens: list[int], chunk_tokens: int,
-    ) -> tuple[tuple, list[DecodeLayerWork]]:
-        """Memo key and merged layer works for one mixed iteration.
+    # -- delegations ---------------------------------------------------------
 
-        Merges the decode batch's (unmodified) layer works with the
-        chunk's marginal works; an empty batch yields the chunk-only
-        iteration.  Shared by the clean and fault-perturbed hybrid
-        pricing paths.
-        """
-        bsz = len(context_lens)
-        chunk_works = self._chunk_layer_works(bsz, chunk_tokens)
-        if bsz:
-            dkey = self._key(context_lens)
-            self.decode_step_us(context_lens)      # populate works cache
-            hk = (dkey, self._chunk_key(bsz, chunk_tokens)[1])
-            if hk not in self._hybrid_works:
-                self._hybrid_works[hk] = [
-                    merge_hybrid_work(d, c)
-                    for d, c in zip(self._works[dkey], chunk_works)
-                ]
-        else:
-            hk = (0, self._chunk_key(bsz, chunk_tokens)[1])
-            if hk not in self._hybrid_works:
-                self._hybrid_works[hk] = [
-                    chunk_only_work(c) for c in chunk_works
-                ]
-        return hk, self._hybrid_works[hk]
+    def decode_step_us(self, context_lens: list[int]) -> float:
+        """Steady-state cost of one decode iteration over these requests."""
+        return self.price(self.step_key(context_lens))
 
     def hybrid_step_us(self, context_lens: list[int],
                        chunk_tokens: int) -> float:
         """Steady-state cost of one decode iteration carrying a chunk.
 
-        ``context_lens`` may be empty (chunk-only iteration: nothing is
-        decodable yet).  Bit-identical to
-        :func:`repro.sched.decode.hybrid_step_time_us` over the same
-        works; memoized on (batch size, context bucket, chunk bucket).
+        ``context_lens`` may be empty (chunk-only iteration).
+        Bit-identical to :func:`repro.sched.decode.hybrid_step_time_us`
+        over the same works.
         """
-        hk, works = self._hybrid_key_works(context_lens, chunk_tokens)
-        if hk not in self._hybrid:
-            self._hybrid[hk] = batched_step_time_us(
-                works, self._hybrid_schedule_config(),
-                self.machine,
-            )
-        return self._hybrid[hk]
+        return self.price(self.step_key(context_lens,
+                                        self._chunk(chunk_tokens)))
 
-    def hybrid_attn_window_us(self, context_lens: list[int],
-                              chunk_tokens: int) -> float:
-        """GPU attention time of a mixed iteration -- the prefetch window.
-
-        The chunk's prefill-style attention extends the window behind
-        which expert-cache uploads can hide.
-        """
-        _, works = self._hybrid_key_works(context_lens, chunk_tokens)
-        return sum(w.gpu_attn_us for w in works)
-
-    def hybrid_dispatch_summary(self, context_lens: list[int],
-                                chunk_tokens: int) -> BatchedDispatchSummary:
-        """Combined (decode + chunk) ARI dispatch of a mixed iteration."""
-        bsz = len(context_lens)
-        self._chunk_layer_works(bsz, chunk_tokens)
-        return self._chunk_summaries[self._chunk_key(bsz, chunk_tokens)]
-
-    def cached_hybrid_step_us(self, context_lens: list[int],
-                              chunk_tokens: int,
+    def cached_decode_step_us(self, context_lens: list[int],
                               cache_step: CacheStepResult) -> float:
-        """Mixed-iteration cost under the expert cache's latest outcome.
+        """One iteration's cost under the expert cache's latest outcome.
 
-        The decode batch's layers are cache-repriced exactly as in
-        :meth:`cached_decode_step_us`; the chunk's marginal expert work
-        stays on the CPU (prefill streams every active expert from DRAM
-        regardless of GPU residency), so it rides on top unchanged.
+        Hits are priced as GPU expert work and misses on the CPU; the
+        cache step's non-overlapped prefetch stall is added on top.
         """
-        if cache_step.total_tokens == 0:
-            return (self.hybrid_step_us(context_lens, chunk_tokens)
-                    + cache_step.stall_us)
-        ck, cached_works = self._cached_key_works(context_lens, cache_step)
-        chunk_works = self._chunk_layer_works(len(context_lens), chunk_tokens)
-        hk = (ck, self._chunk_key(len(context_lens), chunk_tokens)[1])
-        if hk not in self._cached_hybrid:
-            merged = [merge_hybrid_work(d, c)
-                      for d, c in zip(cached_works, chunk_works)]
-            self._cached_hybrid[hk] = cache_aware_step_time_us(
-                merged, self._hybrid_schedule_config(),
-                self.machine,
-            )
-        return self._cached_hybrid[hk] + cache_step.stall_us
+        return (self.price(self.step_key(context_lens, cache_step=cache_step))
+                + cache_step.stall_us)
+
+    def perturbed_decode_step_us(self, context_lens: list[int],
+                                 pert: StepPerturbation) -> float:
+        """Decode-iteration cost under an active fault perturbation.
+
+        Identity perturbations key (and price) exactly like the clean
+        step, so an empty fault plan is bit-identical to no injector.
+        """
+        return self.price(self.step_key(context_lens, pert=pert), pert)
 
     def perturbed_hybrid_step_us(self, context_lens: list[int],
                                  chunk_tokens: int,
                                  pert: StepPerturbation) -> float:
-        """Mixed-iteration cost under an active fault perturbation.
+        """Mixed-iteration cost under an active fault perturbation."""
+        return self.price(self.step_key(
+            context_lens, self._chunk(chunk_tokens), pert=pert), pert)
 
-        Identity perturbations short-circuit to the clean memo (same
-        bit-identity guarantee as :meth:`perturbed_decode_step_us`).
+    def perturbed_cached_step_us(self, context_lens: list[int],
+                                 cache_step: CacheStepResult,
+                                 pert: StepPerturbation) -> float:
+        """Cache-aware iteration cost under an active fault perturbation.
+
+        The cache step's stall -- computed against the degraded link by
+        the caller -- rides on top.
         """
-        if pert.prices_identity:
-            return self.hybrid_step_us(context_lens, chunk_tokens)
-        hk, works = self._hybrid_key_works(context_lens, chunk_tokens)
-        pk = (hk, pert.price_key())
-        if pk not in self._hybrid_pert:
-            self._hybrid_pert[pk] = batched_step_time_us(
-                works, self._hybrid_schedule_config(),
-                self.machine, perturb=pert.sim_hook(),
-            )
-        return self._hybrid_pert[pk]
+        return self.price(self.step_key(context_lens, cache_step=cache_step,
+                                        pert=pert), pert) + cache_step.stall_us
 
-    def perturbed_cached_hybrid_step_us(self, context_lens: list[int],
-                                        chunk_tokens: int,
-                                        cache_step: CacheStepResult,
-                                        pert: StepPerturbation) -> float:
-        """Cache-aware mixed-iteration cost under a fault perturbation."""
-        if pert.prices_identity:
-            return self.cached_hybrid_step_us(context_lens, chunk_tokens,
-                                              cache_step)
-        if cache_step.total_tokens == 0:
-            return (self.perturbed_hybrid_step_us(context_lens, chunk_tokens,
-                                                  pert)
-                    + cache_step.stall_us)
-        ck, cached_works = self._cached_key_works(context_lens, cache_step)
-        chunk_works = self._chunk_layer_works(len(context_lens), chunk_tokens)
-        hk = (ck, self._chunk_key(len(context_lens), chunk_tokens)[1])
-        pk = (hk, pert.price_key())
-        if pk not in self._cached_hybrid_pert:
-            merged = [merge_hybrid_work(d, c)
-                      for d, c in zip(cached_works, chunk_works)]
-            self._cached_hybrid_pert[pk] = cache_aware_step_time_us(
-                merged, self._hybrid_schedule_config(),
-                self.machine, perturb=pert.sim_hook(),
-            )
-        return self._cached_hybrid_pert[pk] + cache_step.stall_us
+    def perturbed_cached_hybrid_step_us(
+        self, context_lens: list[int], chunk_tokens: int,
+        cache_step: CacheStepResult | None, pert: StepPerturbation,
+    ) -> float:
+        """Cost of any iteration, plus its cache step's stall.
+
+        The general form the serving loop prices every iteration through:
+        ``chunk_tokens`` 0 means no chunk and ``cache_step`` ``None``
+        means no expert-cache outcome.
+        """
+        stall = cache_step.stall_us if cache_step is not None else 0.0
+        return self.price(self.step_key(context_lens, chunk_tokens,
+                                        cache_step, pert), pert) + stall
+
+    # -- what a priced step is made of ---------------------------------------
+
+    def attn_window_us(self, context_lens: list[int],
+                       chunk_tokens: int = 0) -> float:
+        """GPU attention time of one iteration -- the prefetch window.
+
+        A chunk's prefill-style attention extends the window behind which
+        expert-cache uploads can hide.
+        """
+        works = self._works_of(self.step_key(context_lens, chunk_tokens))
+        return sum(w.gpu_attn_us for w in works)
+
+    def hybrid_attn_window_us(self, context_lens: list[int],
+                              chunk_tokens: int) -> float:
+        """:meth:`attn_window_us` of a mixed iteration."""
+        return self.attn_window_us(context_lens, self._chunk(chunk_tokens))
+
+    def dispatch_summary(self, context_lens: list[int]) -> BatchedDispatchSummary:
+        """The ARI dispatch decisions behind :meth:`decode_step_us`."""
+        key = self.step_key(context_lens)
+        self.price(key)
+        return self._base(key.batch, key.ctx, 0)[1]
+
+    def hybrid_dispatch_summary(self, context_lens: list[int],
+                                chunk_tokens: int) -> BatchedDispatchSummary:
+        """Combined (decode + chunk) ARI dispatch of a mixed iteration."""
+        key = self.step_key(context_lens, self._chunk(chunk_tokens))
+        return self._base(key.batch, 0, key.chunk)[1]
+
+    def gemm_dispatch_for(
+        self, context_lens: list[int], cache_step: CacheStepResult,
+    ) -> ExpertGemmDispatch | None:
+        """The dispatch arm chosen for this iteration's cache outcome.
+
+        ``None`` under legacy pricing or when nothing hit; the serving
+        engine uses this for the ``grouped_gemm_*`` counters.
+        """
+        return self.step_key(context_lens, cache_step=cache_step).arm
+
+    def _cached_key_works(
+        self, context_lens: list[int], cache_step: CacheStepResult,
+    ) -> tuple[StepKey, list[DecodeLayerWork]]:
+        """Key and cache-repriced layer works for one cache outcome."""
+        key = self.step_key(context_lens, cache_step=cache_step)
+        return key, self._works_of(key)
 
     def step_kernel_count(self, context_lens: list[int],
                           chunk_tokens: int = 0,
@@ -712,18 +610,10 @@ class BatchCostModel:
         What a CUDA-graph capture walks: every layer's attention +
         shared/expert kernel groups (``n_gpu_kernels``, including any
         dispatch-added expert GEMM launches), one merge per MoE layer,
-        and the LM head.  Works are resolved through the same memoized
-        paths as pricing, so the count matches the priced task graph.
+        and the LM head -- over the same works :meth:`price` simulates.
         """
-        if not context_lens:
-            _, works = self._hybrid_key_works([], chunk_tokens)
-        elif cache_step is not None and cache_step.total_tokens > 0:
-            _, works = self._cached_key_works(context_lens, cache_step)
-        elif chunk_tokens:
-            _, works = self._hybrid_key_works(context_lens, chunk_tokens)
-        else:
-            self.decode_step_us(context_lens)
-            works = self._works[self._key(context_lens)]
+        works = self._works_of(self.step_key(context_lens, chunk_tokens,
+                                             cache_step))
         moe_layers = sum(1 for w in works if w.cpu_routed_us > 0)
         return sum(w.n_gpu_kernels for w in works) + moe_layers + 1
 
@@ -736,35 +626,26 @@ class BatchCostModel:
 
         The ratio is ``staged interval / unsplit serial cost`` over the
         step's *clean* layer works (:func:`repro.sched.staged_interval_us`
-        against :func:`repro.sched.decode.batched_step_time_us`) -- it is
-        structural per step shape, so expert-cache repricing, fault
-        perturbations, and clock jitter (which scale the whole step)
-        compose multiplicatively through it.  The stage-boundary
-        activation bytes come back raw for the caller to price on the
-        link of the moment (possibly fault-degraded).  Single-stage
-        models return ``(1.0, ())`` without touching any memo.
+        against :meth:`price`) -- it is structural per step shape, so
+        expert-cache repricing, fault perturbations, and clock jitter
+        (which scale the whole step) compose multiplicatively through
+        it.  The stage-boundary activation bytes come back raw for the
+        caller to price on the link of the moment (possibly
+        fault-degraded).  Single-stage models return ``(1.0, ())``
+        without touching any memo.
         """
         if self._pipeline is None:
             return 1.0, ()
-        cfg = self._schedule_config()
-        if not context_lens:
-            key, works = self._hybrid_key_works([], chunk_tokens)
-            full = self.hybrid_step_us([], chunk_tokens)
-            cfg = self._hybrid_schedule_config()
-        elif chunk_tokens:
-            key, works = self._hybrid_key_works(context_lens, chunk_tokens)
-            full = self.hybrid_step_us(context_lens, chunk_tokens)
-            cfg = self._hybrid_schedule_config()
-        else:
-            key = self._key(context_lens)
-            full = self.decode_step_us(context_lens)
-            works = self._works[key]
+        key = self.step_key(context_lens, chunk_tokens)
         if key not in self._pipeline_factors:
-            staged = staged_interval_us(works, cfg,
-                                        self.machine,
-                                        self._pipeline)
+            works = self._works_of(key)
+            staged = staged_interval_us(
+                works, (self._hybrid_schedule_config() if key.chunk
+                        else self._schedule_config()),
+                self.machine, self._pipeline)
             self._pipeline_factors[key] = (
-                staged / full, stage_boundary_bytes(works, self._pipeline))
+                staged / self.price(key),
+                stage_boundary_bytes(works, self._pipeline))
         return self._pipeline_factors[key]
 
     def staged_decode_step_us(self, context_lens: list[int]) -> float:
@@ -785,15 +666,17 @@ class BatchCostModel:
         if total_prompt_tokens <= 0:
             raise ConfigError("prefill needs at least one token")
         costs = self.session.costs
-        bucket = self._bucket(total_prompt_tokens, self.PREFILL_BUCKETS)
+        top = self.PREFILL_BUCKETS[-1]
+        bucket = self._bucket(min(total_prompt_tokens, top),
+                              self.PREFILL_BUCKETS)
         if bucket not in self._prefill:
             r = run_prefill(costs.system, costs.preset, self.machine,
                             costs.dtype, prompt_len=bucket,
                             backend=self.backend)
             self._prefill[bucket] = r.elapsed_us
         cost = self._prefill[bucket]
-        if total_prompt_tokens > self.PREFILL_BUCKETS[-1]:
-            cost *= total_prompt_tokens / self.PREFILL_BUCKETS[-1]
+        if total_prompt_tokens > top:
+            cost *= total_prompt_tokens / top
         return cost
 
     # -- preemption pricing --------------------------------------------------
@@ -987,12 +870,7 @@ class ContinuousBatchingServer:
         self.session = session
         self.config = config or BatchSchedulerConfig()
         self.priorities = priorities
-        self.costs = BatchCostModel(
-            session,
-            ari_threshold=self.config.ari_threshold,
-            gemm_dispatch=self.config.gemm_dispatch,
-            pipeline_stages=self.config.pipeline_stages,
-            backend=self.config.backend)
+        self.costs = self._cost_model()
         # The pool tracks token occupancy only; K/V payloads stay tiny.
         self.pool = PagedKVPool(
             n_heads=1, head_dim=1,
@@ -1037,7 +915,6 @@ class ContinuousBatchingServer:
             self.stats.graphs = self.graph_stats
         self._last_graph_capture_us = 0.0
         self._last_cache_step: CacheStepResult | None = None
-        self._last_step_topology: tuple = ("plain",)
         self.pipeline_stats: PipelineStats | None = None
         if self.config.pipeline_stages > 1:
             # Attached only when the layer stack is actually sharded, so
@@ -1078,6 +955,14 @@ class ContinuousBatchingServer:
 
     # -- kernel backend ------------------------------------------------------
 
+    def _cost_model(self) -> BatchCostModel:
+        """The step pricer for the current config's kernel and dispatch."""
+        c = self.config
+        return BatchCostModel(self.session, ari_threshold=c.ari_threshold,
+                              gemm_dispatch=c.gemm_dispatch,
+                              pipeline_stages=c.pipeline_stages,
+                              backend=c.backend)
+
     def _make_graph_cache(self) -> GraphCache | None:
         """The capture cache under the active backend's launch constants.
 
@@ -1111,12 +996,7 @@ class ContinuousBatchingServer:
             raise ConfigError(
                 "rebind_backend requires a fresh server (no served work)")
         self.config = replace(self.config, backend=backend)
-        self.costs = BatchCostModel(
-            self.session,
-            ari_threshold=self.config.ari_threshold,
-            gemm_dispatch=self.config.gemm_dispatch,
-            pipeline_stages=self.config.pipeline_stages,
-            backend=backend)
+        self.costs = self._cost_model()
         self.graph_cache = self._make_graph_cache()
 
     # -- admission ----------------------------------------------------------
@@ -1748,29 +1628,27 @@ class ContinuousBatchingServer:
         With one, the decode batch first pads up to its capture bucket
         (padding slots run real kernels, so the padded batch's full step
         cost is charged -- priced honestly), the step is priced, and then
-        the graph for the step's shape key is looked up: a cold key pays
-        a capture stall on top of the step cost (visible in TTFT/TPOT),
-        a warm key replays for free.  Fault perturbations stretch task
-        *durations*, not the kernel topology, so they deliberately do not
-        enter the graph key -- a perturbed step replays the same graph.
+        the graph for the step's key is looked up: a cold key pays a
+        capture stall on top of the step cost (visible in TTFT/TPOT), a
+        warm key replays for free.  The graph key is the
+        :class:`StepKey` without its perturbation: faults stretch task
+        *durations*, not the kernel topology, so a perturbed step replays
+        the same graph, while each quantized cache outcome and dispatch
+        arm captures its own.
         """
         self._last_graph_capture_us = 0.0
-        self._last_cache_step = None
-        if self.graph_cache is None:
-            return self._apply_pipeline(
-                self._priced_step_us(context_lens, clock, chunk_tokens),
-                context_lens, chunk_tokens, clock)
         padded = list(context_lens)
-        if padded:
-            bucket = self.graph_cache.config.batch_bucket(len(padded))
-            pad = bucket - len(padded)
-            if pad:
-                padded.extend([max(padded)] * pad)
-                self.graph_stats.padding_tokens += pad
+        if self.graph_cache is not None and padded:
+            pad = (self.graph_cache.config.batch_bucket(len(padded))
+                   - len(padded))
+            padded.extend([max(padded)] * pad)
+            self.graph_stats.padding_tokens += pad
         cost = self._apply_pipeline(
             self._priced_step_us(padded, clock, chunk_tokens),
             padded, chunk_tokens, clock)
-        key = self._graph_key(padded, chunk_tokens)
+        if self.graph_cache is None:
+            return cost
+        key = self.costs.step_key(padded, chunk_tokens, self._last_cache_step)
         n_kernels = self.costs.step_kernel_count(
             padded, chunk_tokens, self._last_cache_step)
         look = self.graph_cache.lookup(key, n_kernels)
@@ -1797,8 +1675,6 @@ class ContinuousBatchingServer:
         """
         if self.pipeline_stats is None:
             return cost
-        if not context_lens and not chunk_tokens:
-            return cost
         ratio, boundary = self.costs.pipeline_factors(context_lens,
                                                       chunk_tokens)
         link = self._link_at(clock)
@@ -1811,101 +1687,70 @@ class ContinuousBatchingServer:
         ps.interstage_transfer_us += xfer
         return staged
 
-    def _graph_key(self, context_lens: list[int],
-                   chunk_tokens: int) -> tuple:
-        """Shape key of one captured step.
-
-        ``(batch bucket, context bucket, chunk bucket, topology)`` --
-        ``context_lens`` arrives already padded, so its length *is* the
-        batch bucket.  The topology token (set by :meth:`_priced_step_us`)
-        distinguishes kernel sequences the shape alone cannot: plain vs
-        chunk-only vs cache-bypass vs each quantized cache outcome and
-        dispatch arm.
-        """
-        if context_lens:
-            batch_bucket = len(context_lens)
-            ctx_bucket = BatchCostModel._bucket(max(context_lens),
-                                               BatchCostModel.CTX_BUCKETS)
-        else:
-            batch_bucket = ctx_bucket = 0
-        chunk_bucket = (BatchCostModel._bucket(chunk_tokens,
-                                               BatchCostModel.CHUNK_BUCKETS)
-                        if chunk_tokens else 0)
-        return (batch_bucket, ctx_bucket, chunk_bucket,
-                self._last_step_topology)
-
     def _priced_step_us(self, context_lens: list[int], clock: float,
                         chunk_tokens: int = 0) -> float:
         """Price one iteration, consulting the expert cache if any.
 
-        ``chunk_tokens > 0`` marks a hybrid iteration: the decode batch's
-        pricing flows exactly as below but through the ``hybrid_*``
-        variants, which add the chunk's marginal expert work on top.  An
-        empty ``context_lens`` (chunk-only iteration: nothing decodable
-        yet) skips every cache interaction -- prefill streams each active
-        expert from DRAM regardless of GPU residency, so the cache
-        neither observes routing nor uploads -- and records a
-        zero-activity cache point to keep the timelines aligned.
-
-        With a cache attached, the iteration's per-expert token counts
-        (from the injected routing stream, or the cost model's dispatch
-        summary) update the EWMA residency state; hits are priced as GPU
-        expert work, misses stay on the CPU, and planned uploads prefetch
-        behind the attention window with only the non-overlapped
-        remainder stalling the step.
-
-        With a fault injector attached, the whole iteration is priced
-        under the perturbation active at ``clock`` (same degraded link
-        for upload stall accounting), planned uploads can fail in
-        transit (handled per the resilience policy -- see the class
-        docstring), and the iteration cost picks up this step's clock
-        jitter last, outside the memoized pricing.
+        ``chunk_tokens > 0`` co-schedules a prefill chunk.  The cache
+        (:meth:`_cache_step`) sits out chunk-only iterations -- prefill
+        streams each active expert from DRAM regardless of GPU residency
+        -- and degraded-mode iterations, which price every routed expert
+        on the CPU with no residency update and no uploads; both record a
+        zero-activity cache point.  Under a fault injector the step is
+        priced under the perturbation active at ``clock``, and its clock
+        jitter applies last, outside the memoized pricing.
         """
         pert = (self.fault_injector.perturbation_at(clock, self._iteration)
                 if self.fault_injector is not None else IDENTITY_PERTURBATION)
-        if not context_lens:
-            self._last_step_topology = ("chunk-only",)
-            cost = (self.costs.perturbed_hybrid_step_us([], chunk_tokens,
-                                                        pert)
-                    * pert.jitter_scale)
-            if self.cache_timeline is not None:
-                self.cache_timeline.record(
-                    clock + cost, hit_tokens=0, miss_tokens=0, uploads=0,
-                    evictions=0, bytes_transferred=0.0, stall_us=0.0,
-                )
-            return cost
-        if self.expert_cache is None:
-            self._last_step_topology = ("plain",)
-            if chunk_tokens:
-                return (self.costs.perturbed_hybrid_step_us(
-                            context_lens, chunk_tokens, pert)
-                        * pert.jitter_scale)
-            return (self.costs.perturbed_decode_step_us(context_lens, pert)
-                    * pert.jitter_scale)
-        if self._degradation is not None and self._degradation.bypassing:
-            self._last_step_topology = ("bypass",)
-            return self._degraded_step_us(context_lens, clock, pert,
-                                          chunk_tokens)
+        cache_step, stall = None, 0.0
+        if context_lens and self.expert_cache is not None:
+            if self._degradation is not None and self._degradation.bypassing:
+                self._degradation.tick_bypass()
+                self.fault_stats.degraded_iterations += 1
+            else:
+                cache_step, stall = self._cache_step(context_lens, clock,
+                                                     chunk_tokens, pert)
+        self._last_cache_step = cache_step
+        cost = (self.costs.perturbed_cached_hybrid_step_us(
+                    context_lens, chunk_tokens, cache_step, pert)
+                + stall) * pert.jitter_scale
+        if self.cache_timeline is not None:
+            c = cache_step or _IDLE_CACHE_STEP
+            self.cache_timeline.record(
+                clock + cost,
+                hit_tokens=c.hit_tokens, miss_tokens=c.miss_tokens,
+                uploads=len(c.uploads), evictions=len(c.evictions),
+                bytes_transferred=c.bytes_transferred, stall_us=c.stall_us,
+            )
+        return cost
 
+    def _cache_step(self, context_lens: list[int], clock: float,
+                    chunk_tokens: int, pert: StepPerturbation
+                    ) -> tuple[CacheStepResult, float]:
+        """Run the expert cache for one iteration; returns (outcome, stall).
+
+        Routing counts (the injected stream, or the cost model's dispatch
+        summary) update the EWMA residency state, and planned uploads
+        prefetch behind the attention window.  Under a fault injector
+        uploads can fail on the degraded link, handled per the resilience
+        policy (see the class docstring); the returned stall is that
+        handling's, on top of the outcome's own.
+        """
         if self._routing_stream is not None:
             counts = np.asarray(
                 self._routing_stream(self._iteration, len(context_lens)))
         else:
             counts = np.asarray(
                 self.costs.dispatch_summary(context_lens).expert_token_counts)
-        window = (self.costs.hybrid_attn_window_us(context_lens, chunk_tokens)
-                  if chunk_tokens
-                  else self.costs.attn_window_us(context_lens))
+        window = self.costs.attn_window_us(context_lens, chunk_tokens)
         link = pert.degrade_link(self.expert_cache.interconnect)
         result = self.expert_cache.step(counts, overlap_window_us=window,
                                         link=link)
 
-        extra_stall = 0.0
-        had_failures = False
+        extra_stall, had_failures = 0.0, False
         if self.resilience is not None and self._retries:
-            stall, abandoned = self._process_retries(clock, window, link)
-            extra_stall += stall
-            had_failures = had_failures or abandoned
+            extra_stall, had_failures = self._process_retries(clock, window,
+                                                              link)
         failed: tuple[tuple[int, int], ...] = ()
         if self.fault_injector is not None and result.uploads:
             failed = self.fault_injector.failed_uploads(
@@ -1923,41 +1768,19 @@ class ContinuousBatchingServer:
                     due = clock + retry.delay_us(
                         1, key=(self._iteration, layer, expert))
                     self._retries.append(RetryState(layer, expert, 1, due))
-
-        self._last_cache_step = result
-        if result.total_tokens:
-            ck, _ = self.costs._cached_key_works(context_lens, result)
-            self._last_step_topology = ("cached", *ck)
-            if self.graph_stats is not None:
-                dispatch = self.costs.gemm_dispatch_for(context_lens, result)
-                if dispatch is not None:
-                    if dispatch.mode == "grouped":
-                        self.graph_stats.grouped_gemm_iterations += 1
-                        self.graph_stats.grouped_gemm_launches_saved += (
-                            max(0, result.n_hit_experts - 1)
-                            * self.session.costs.preset.n_moe_layers)
-                    else:
-                        self.graph_stats.per_expert_iterations += 1
-        else:
-            self._last_step_topology = ("cached-idle",)
-
-        if chunk_tokens:
-            cost = self.costs.perturbed_cached_hybrid_step_us(
-                context_lens, chunk_tokens, result, pert)
-        else:
-            cost = self.costs.perturbed_cached_step_us(context_lens, result,
-                                                       pert)
-        cost += extra_stall
         if extra_stall:
             self.fault_stats.fault_stall_us += extra_stall
-        cost *= pert.jitter_scale
-        self.cache_timeline.record(
-            clock + cost,
-            hit_tokens=result.hit_tokens, miss_tokens=result.miss_tokens,
-            uploads=len(result.uploads), evictions=len(result.evictions),
-            bytes_transferred=result.bytes_transferred,
-            stall_us=result.stall_us,
-        )
+
+        if result.total_tokens and self.graph_stats is not None:
+            dispatch = self.costs.gemm_dispatch_for(context_lens, result)
+            if dispatch is not None:
+                if dispatch.mode == "grouped":
+                    self.graph_stats.grouped_gemm_iterations += 1
+                    self.graph_stats.grouped_gemm_launches_saved += (
+                        max(0, result.n_hit_experts - 1)
+                        * self.session.costs.preset.n_moe_layers)
+                else:
+                    self.graph_stats.per_expert_iterations += 1
         if self._degradation is not None:
             self._degradation.observe(had_failures, clock, self.fault_stats)
             if self._degradation.bypassing and self._retries:
@@ -1965,31 +1788,7 @@ class ContinuousBatchingServer:
                 # cache is bypassed, so completing them buys nothing.
                 self.fault_stats.retries_abandoned += len(self._retries)
                 self._retries.clear()
-        return cost
-
-    def _degraded_step_us(self, context_lens: list[int], clock: float,
-                          pert: StepPerturbation,
-                          chunk_tokens: int = 0) -> float:
-        """One cache-bypassed iteration: all routed experts priced on CPU.
-
-        Graceful degradation under a persistently failing cache: no
-        residency update, no uploads attempted (so no upload faults), the
-        plain CPU-expert pricing applies (hybrid-priced when a chunk is
-        co-scheduled).  Ticks the degradation cooldown and records a
-        zero-activity cache timeline point.
-        """
-        self._degradation.tick_bypass()
-        self.fault_stats.degraded_iterations += 1
-        base = (self.costs.perturbed_hybrid_step_us(context_lens,
-                                                    chunk_tokens, pert)
-                if chunk_tokens
-                else self.costs.perturbed_decode_step_us(context_lens, pert))
-        cost = base * pert.jitter_scale
-        self.cache_timeline.record(
-            clock + cost, hit_tokens=0, miss_tokens=0, uploads=0,
-            evictions=0, bytes_transferred=0.0, stall_us=0.0,
-        )
-        return cost
+        return result, extra_stall
 
     def _process_retries(self, clock: float, window_us: float,
                          link: InterconnectSpec) -> tuple[float, bool]:

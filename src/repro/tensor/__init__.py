@@ -14,7 +14,6 @@ from .tiles import (
     CACHE_LINE_BYTES,
     TILE_ROW_BYTES,
     TILE_ROWS,
-    is_cache_line_aligned,
     padded_cols,
     padded_rows,
     tile_bytes,
@@ -29,6 +28,6 @@ __all__ = [
     "QuantizedTensor", "dequantize", "pack_int4", "quantization_error_bound",
     "quantize", "unpack_int4",
     "CACHE_LINE_BYTES", "TILE_ROW_BYTES", "TILE_ROWS",
-    "is_cache_line_aligned", "padded_cols", "padded_rows", "tile_bytes",
+    "padded_cols", "padded_rows", "tile_bytes",
     "tile_cols", "tile_grid", "tiles_in_matrix",
 ]

@@ -188,9 +188,9 @@ class TestBatchCostModelHybrid:
         a = costs.hybrid_step_us([64] * 4, 17)
         b = costs.hybrid_step_us([60] * 4, 30)   # same ctx + chunk bucket
         assert a == b
-        assert len(costs._hybrid) == 1
+        assert sum(1 for k in costs._prices if k.chunk) == 1
         costs.hybrid_step_us([64] * 4, 33)       # next chunk bucket
-        assert len(costs._hybrid) == 2
+        assert sum(1 for k in costs._prices if k.chunk) == 2
 
     def test_chunk_only_supported(self, session):
         costs = BatchCostModel(session)

@@ -103,7 +103,7 @@ class TestBatchCostModel:
         costs = BatchCostModel(session)
         first = costs.decode_step_us([64] * 4)
         assert costs.decode_step_us([60, 61, 62, 63]) == first  # same bucket
-        assert len(costs._step) == 1
+        assert len(costs._prices) == 1
 
     def test_dispatch_summary_exposed(self, session):
         costs = BatchCostModel(session)
@@ -124,6 +124,12 @@ class TestBatchCostModel:
             costs.decode_step_us([])
         with pytest.raises(ConfigError):
             costs.batched_prefill_us(0)
+
+    def test_options_are_keyword_only(self, session):
+        # Passing a scheduler config positionally must fail here, not on
+        # the first priced step.
+        with pytest.raises(TypeError):
+            BatchCostModel(session, BatchSchedulerConfig())
 
 
 class TestSchedulerConfig:

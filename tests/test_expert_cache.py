@@ -23,6 +23,7 @@ from repro.serving import (
     BatchSchedulerConfig,
     ContinuousBatchingServer,
     InferenceSession,
+    StepKey,
     poisson_workload,
     serving_expert_cache,
 )
@@ -223,7 +224,7 @@ class TestCacheAwarePricing:
     def test_apply_expert_cache_scales_with_hits(self, session):
         costs = BatchCostModel(session)
         costs.decode_step_us([64] * 8)
-        work = next(w for w in costs._works[(8, 64)] if w.cpu_routed_us > 0)
+        work = next(w for w in costs._works[StepKey(8, 64)] if w.cpu_routed_us > 0)
         tokens = 8 * DS3.top_k
         half = apply_expert_cache(work, DS3, MACHINE, BF16, tokens,
                                   hit_tokens=tokens // 2, n_hit_experts=8)
@@ -277,7 +278,7 @@ class TestCacheAwarePricing:
 
         costs = BatchCostModel(session)
         costs.decode_step_us([64])
-        works = costs._works[(1, 64)]
+        works = costs._works[StepKey(1, 64)]
         with pytest.raises(SchedulingError):
             cache_aware_step_time_us(works, costs._schedule_config(),
                                      MACHINE, transfer_stall_us=-1.0)

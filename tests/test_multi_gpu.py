@@ -190,7 +190,7 @@ class TestBatchCostModelPipeline:
         model = BatchCostModel(session, pipeline_stages=2)
         ctx = [64] * 4
         via_ratio = model.staged_decode_step_us(ctx)
-        key = model._key(ctx)
+        key = model.step_key(ctx)
         model.decode_step_us(ctx)
         direct = staged_step_time_us(
             model._works[key], model._schedule_config(),
