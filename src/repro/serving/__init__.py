@@ -31,6 +31,7 @@ from .fleet import (
 from .metrics import (
     BatchTimeline,
     CachePoint,
+    CounterSection,
     ExpertCacheTimeline,
     FaultStats,
     GraphStats,
@@ -81,7 +82,8 @@ __all__ = [
     "OnlineController",
     "FleetConfig", "FleetRouter", "FleetStats", "ROUTING_POLICIES",
     "RoutingWeightAdapter", "RoutingWeightConfig",
-    "BatchTimeline", "CachePoint", "ExpertCacheTimeline", "FaultStats",
+    "BatchTimeline", "CachePoint", "CounterSection", "ExpertCacheTimeline",
+    "FaultStats",
     "GraphStats", "PipelineStats", "PreemptionStats", "RequestTiming",
     "RollingWindow", "ServingSLO",
     "ServingStats", "SessionStats",

@@ -144,6 +144,11 @@ _IDLE_CACHE_STEP = CacheStepResult(
 RoutingStream = Callable[[int, int], np.ndarray]   # (iteration, batch) -> counts
 
 
+def _when(enabled: bool, section):
+    """``section`` when its feature is configured, else ``None``."""
+    return section if enabled else None
+
+
 @dataclass(frozen=True)
 class BatchSchedulerConfig:
     """Policy knobs of the iteration-level scheduler.
@@ -881,18 +886,10 @@ class ContinuousBatchingServer:
         self._routing_stream = routing_stream
         if routing_stream is not None and expert_cache is None:
             raise ConfigError("routing_stream requires an expert_cache")
-        self.stats = ServingStats()
         self.timeline = BatchTimeline(
             kv_budget_tokens=self.pool.budget_tokens)
-        self.cache_timeline: ExpertCacheTimeline | None = None
-        if expert_cache is not None:
-            self.cache_timeline = ExpertCacheTimeline()
-            self.stats.expert_cache = self.cache_timeline
         self.fault_injector = fault_injector
         self.resilience = resilience
-        self.fault_stats = FaultStats()
-        if fault_injector is not None or resilience is not None:
-            self.stats.faults = self.fault_stats
         self._degradation: DegradationTracker | None = None
         if (resilience is not None and fault_injector is not None
                 and expert_cache is not None):
@@ -900,58 +897,51 @@ class ContinuousBatchingServer:
         self._retries: list[RetryState] = []
         self._reserved_pages = 0
         self._iteration = 0
-        self.preempt_stats = PreemptionStats()
-        if priorities is not None:
-            self.stats.preemptions = self.preempt_stats
         self._preempted: list[_InFlight] = []
         self._preempt_stall_us = 0.0
         self.graph_cache: GraphCache | None = self._make_graph_cache()
-        self.graph_stats: GraphStats | None = None
-        if (self.config.graph_cache is not None
-                or self.config.gemm_dispatch != "legacy"):
-            # Attached only when a graph/dispatch feature is on, so legacy
-            # configs keep their summaries (and goldens) unchanged.
-            self.graph_stats = GraphStats()
-            self.stats.graphs = self.graph_stats
         self._last_graph_capture_us = 0.0
         self._last_cache_step: CacheStepResult | None = None
-        self.pipeline_stats: PipelineStats | None = None
-        if self.config.pipeline_stages > 1:
-            # Attached only when the layer stack is actually sharded, so
-            # single-stage configs keep their summaries (and goldens)
-            # unchanged.
-            self.pipeline_stats = PipelineStats(
-                n_stages=self.config.pipeline_stages)
-            self.stats.pipeline = self.pipeline_stats
         if kv_tier is not None and prefix_cache is None:
             raise ConfigError("kv_tier requires a prefix_cache config")
         self.kv_tier = kv_tier
         self.prefix_cache: RadixPrefixCache | None = None
-        self.session_stats: SessionStats | None = None
         if prefix_cache is not None:
             self.prefix_cache = RadixPrefixCache(self.pool, prefix_cache,
                                                  kv_tier)
-            # Attached only when the prefix cache is on, so sessionless
-            # configs keep their summaries (and goldens) unchanged.
-            self.session_stats = SessionStats()
-            self.stats.sessions = self.session_stats
         self._tier_stall_us = 0.0
         # Per-session think-time EWMA state for ahead-of-turn swap-in.
         self._session_last_finish: dict[str, float] = {}
         self._session_think: dict[str, float] = {}
         self._predicted_next: dict[str, float] = {}
+        # Every counter section exists whatever the config, so the loop
+        # counts without testing for it; only a configured feature's
+        # section is attached to the stats and reaches the summary.
+        c = self.config
+        self.fault_stats = FaultStats()
+        self.preempt_stats = PreemptionStats()
+        self.graph_stats = GraphStats()
+        self.pipeline_stats = PipelineStats(n_stages=c.pipeline_stages)
+        self.session_stats = SessionStats()
+        self.controller_stats = ControllerStats()
+        # The public expert-cache trajectory is ``None`` when no cache runs.
+        self.cache_timeline = _when(expert_cache is not None,
+                                    ExpertCacheTimeline())
+        self.stats = ServingStats(
+            expert_cache=self.cache_timeline,
+            faults=_when(fault_injector is not None or resilience is not None,
+                         self.fault_stats),
+            preemptions=_when(priorities is not None, self.preempt_stats),
+            graphs=_when(c.graph_cache is not None
+                         or c.gemm_dispatch != "legacy", self.graph_stats),
+            sessions=_when(prefix_cache is not None, self.session_stats),
+            pipeline=_when(c.pipeline_stages > 1, self.pipeline_stats),
+            controller=_when(controller is not None, self.controller_stats))
         self._controller: OnlineController | None = None
-        self.controller_stats: ControllerStats | None = None
         if controller is not None:
-            # Attached only when the control plane is on, so static
-            # configs keep their summaries (and goldens) unchanged.
-            self.controller_stats = ControllerStats()
-            self.stats.controller = self.controller_stats
             self._controller = OnlineController(
-                controller,
-                base_chunk=self.config.prefill_chunk_tokens,
-                base_batch=self.config.max_batch_size,
-                stats=self.controller_stats)
+                controller, base_chunk=c.prefill_chunk_tokens,
+                base_batch=c.max_batch_size, stats=self.controller_stats)
 
     # -- kernel backend ------------------------------------------------------
 
@@ -1255,13 +1245,12 @@ class ContinuousBatchingServer:
                 if unparked:
                     self._tier_swap_in(timed, unparked, clock)
             self._observe_session(timed, clock)
-            if self.session_stats is not None:
-                self.session_stats.prompt_tokens_total += len(prompt)
-                if matched:
-                    self.session_stats.prefix_hits += 1
-                    self.session_stats.prefill_tokens_avoided += matched
-                else:
-                    self.session_stats.prefix_misses += 1
+            self.session_stats.prompt_tokens_total += len(prompt)
+            if matched:
+                self.session_stats.prefix_hits += 1
+                self.session_stats.prefill_tokens_avoided += matched
+            else:
+                self.session_stats.prefix_misses += 1
             slot = self.pool.allocate()
             self._reserved_pages += need
             # KV pages fill as prefill progresses: the monolithic pass
@@ -1356,10 +1345,22 @@ class ContinuousBatchingServer:
         if a.shared_tokens:
             self.prefix_cache.release(prompt, a.shared_tokens, clock)
 
-    def _sync_session_stats(self) -> None:
-        """Mirror the cache's cumulative counters into the run stats."""
-        ss = self.session_stats
+    def _sync_cache_stats(self) -> None:
+        """Mirror the caches' cumulative counters into the run stats.
+
+        Runs once per replay: the graph and prefix caches own these
+        counters.  The session peaks come from the timeline, whose
+        points sample the prefix cache after every iteration, plus the
+        cache's state now.
+        """
+        if self.graph_cache is not None:
+            g, gs = self.graph_cache, self.graph_stats
+            gs.captures, gs.replays = g.captures, g.replays
+            gs.evictions = g.evictions
         c = self.prefix_cache
+        if c is None:
+            return
+        ss = self.session_stats
         ss.inserted_tokens = c.inserted_tokens
         ss.evicted_tokens = c.evicted_tokens
         ss.parked_tokens = c.parked_tokens
@@ -1370,9 +1371,13 @@ class ContinuousBatchingServer:
         # unit, so tier and preemption traffic are directly comparable.
         ss.swap_out_bytes = self.costs.kv_swap_bytes(c.parked_tokens)
         ss.swap_in_bytes = self.costs.kv_swap_bytes(c.unparked_tokens)
-        ss.peak_host_tokens = max(ss.peak_host_tokens, c.host_tokens)
-        ss.peak_gpu_cached_tokens = max(ss.peak_gpu_cached_tokens,
-                                        c.gpu_tokens)
+        points = self.timeline.points
+        ss.peak_host_tokens = max(
+            [ss.peak_host_tokens, c.host_tokens]
+            + [p.host_parked_tokens for p in points])
+        ss.peak_gpu_cached_tokens = max(
+            [ss.peak_gpu_cached_tokens, c.gpu_tokens]
+            + [p.prefix_cached_tokens for p in points])
 
     # -- serving loop -------------------------------------------------------
 
@@ -1426,8 +1431,6 @@ class ContinuousBatchingServer:
                     raise KVCacheError(
                         "admission deadlock: prefix pages pinned by "
                         "preempted requests exceed the KV budget")
-                if not pending:
-                    break
                 # Nothing in flight and nothing admissible: jump to the
                 # next arrival (the budget check above guarantees any
                 # single request fits an empty pool).
@@ -1489,8 +1492,6 @@ class ContinuousBatchingServer:
                 host_parked_tokens=(self.prefix_cache.host_tokens
                                     if self.prefix_cache is not None
                                     else 0))
-            if self.session_stats is not None:
-                self._sync_session_stats()
             if finished:
                 active = [a for a in active if id(a) not in finished]
             if self._controller is not None:
@@ -1503,8 +1504,7 @@ class ContinuousBatchingServer:
                                               queue_depth=arrived)
                 if moves:
                     self.config = replace(self.config, **moves)
-        if self.session_stats is not None:
-            self._sync_session_stats()
+        self._sync_cache_stats()
         return self.stats
 
     def _chunk_budget(self, n_decoding: int) -> float:
@@ -1652,9 +1652,6 @@ class ContinuousBatchingServer:
         n_kernels = self.costs.step_kernel_count(
             padded, chunk_tokens, self._last_cache_step)
         look = self.graph_cache.lookup(key, n_kernels)
-        self.graph_stats.captures = self.graph_cache.captures
-        self.graph_stats.replays = self.graph_cache.replays
-        self.graph_stats.evictions = self.graph_cache.evictions
         if look.captured:
             self.graph_stats.capture_stall_us += look.capture_us
             self._last_graph_capture_us = look.capture_us
@@ -1673,7 +1670,7 @@ class ContinuousBatchingServer:
         cost the stage overlap cannot hide or divide.  A no-op (returns
         ``cost`` untouched) for single-stage configs.
         """
-        if self.pipeline_stats is None:
+        if self.config.pipeline_stages == 1:
             return cost
         ratio, boundary = self.costs.pipeline_factors(context_lens,
                                                       chunk_tokens)
@@ -1714,7 +1711,7 @@ class ContinuousBatchingServer:
         cost = (self.costs.perturbed_cached_hybrid_step_us(
                     context_lens, chunk_tokens, cache_step, pert)
                 + stall) * pert.jitter_scale
-        if self.cache_timeline is not None:
+        if self.expert_cache is not None:
             c = cache_step or _IDLE_CACHE_STEP
             self.cache_timeline.record(
                 clock + cost,
@@ -1771,7 +1768,7 @@ class ContinuousBatchingServer:
         if extra_stall:
             self.fault_stats.fault_stall_us += extra_stall
 
-        if result.total_tokens and self.graph_stats is not None:
+        if result.total_tokens and self.costs.gemm_dispatch != "legacy":
             dispatch = self.costs.gemm_dispatch_for(context_lens, result)
             if dispatch is not None:
                 if dispatch.mode == "grouped":

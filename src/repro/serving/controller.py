@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
-from .metrics import RollingWindow, ServingSLO, ServingStats, percentile
+from .metrics import (CounterSection, RollingWindow, ServingSLO, ServingStats,
+                      percentile)
 
 KNOB_CHUNK = "prefill_chunk_tokens"
 KNOB_BATCH = "max_batch_size"
@@ -117,14 +118,14 @@ class KnobDecision:
 
 
 @dataclass
-class ControllerStats:
+class ControllerStats(CounterSection):
     """Control-plane counters plus the full per-window decision trace.
 
-    Attached to :class:`~repro.serving.metrics.ServingStats` only when
-    a controller is configured, so static-config summaries carry no
-    ``ctrl_*`` keys (the bit-identity discipline every other optional
-    feature follows).
+    On only when a controller is configured.
     """
+
+    KEYS = (("ctrl_windows", "windows", 1), ("ctrl_moves", "moves", 1),
+            ("ctrl_rollbacks", "rollbacks", 1))
 
     windows: int = 0
     moves: int = 0
@@ -139,14 +140,6 @@ class ControllerStats:
         """
         return [(d.window, d.action) + tuple(v for _, v in d.knobs)
                 for d in self.decisions]
-
-    def summary(self) -> dict[str, float]:
-        """Flat ``ctrl_*`` counters for the serving summary."""
-        return {
-            "ctrl_windows": float(self.windows),
-            "ctrl_moves": float(self.moves),
-            "ctrl_rollbacks": float(self.rollbacks),
-        }
 
 
 class _KnobState:

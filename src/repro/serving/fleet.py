@@ -615,17 +615,10 @@ class FleetRouter:
             staged = [st.pipeline for st in self._epoch_stats
                       if st.pipeline is not None]
             if staged:
-                # Pipeline accounting survives the merge: sum the
-                # per-epoch counters so fleet summaries keep the same
-                # pipeline_* keys a single staged replica reports.
-                merged.pipeline = PipelineStats(
-                    n_stages=staged[0].n_stages,
-                    staged_iterations=sum(
-                        p.staged_iterations for p in staged),
-                    serial_us=sum(p.serial_us for p in staged),
-                    staged_us=sum(p.staged_us for p in staged),
-                    interstage_transfer_us=sum(
-                        p.interstage_transfer_us for p in staged))
+                # Pipeline accounting survives the merge, so fleet
+                # summaries keep the pipeline_* keys a staged replica
+                # reports.
+                merged.pipeline = PipelineStats.merged(staged)
 
         per_replica: list[ServingStats] = []
         for r in range(n):

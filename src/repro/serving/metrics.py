@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -266,6 +266,25 @@ class BatchTimeline:
         }
 
 
+class CounterSection:
+    """One feature's counters, declared as an ordered summary table.
+
+    The serving engine attaches a section to :class:`ServingStats` only
+    when its feature is configured, and :meth:`ServingStats.summary`
+    flattens every attached section's :meth:`summary` into its own
+    keys.  Each ``KEYS`` row is ``(summary key, attribute, divisor)``
+    and reports ``getattr(self, attribute) / divisor``: 1 turns a count
+    into a float, 1e3 converts µs to ms and 1e6 bytes to MB.  Derived
+    values are properties named in the table.
+    """
+
+    KEYS: ClassVar[tuple[tuple[str, str, float], ...]] = ()
+
+    def summary(self) -> dict[str, float]:
+        """The section's flat counters, in ``KEYS`` order."""
+        return {key: getattr(self, attr) / div for key, attr, div in self.KEYS}
+
+
 @dataclass(frozen=True)
 class CachePoint:
     """One decode-iteration sample of the expert cache's behaviour."""
@@ -285,13 +304,18 @@ class CachePoint:
 
 
 @dataclass
-class ExpertCacheTimeline:
+class ExpertCacheTimeline(CounterSection):
     """Per-iteration hit-rate / eviction / transfer trajectory.
 
     Recorded by :class:`~repro.serving.continuous.ContinuousBatchingServer`
-    when a dynamic expert cache is attached; the aggregate view lands in
-    :meth:`ServingStats.summary` via :meth:`summary`.
+    when a dynamic expert cache is attached.
     """
+
+    KEYS = (("cache_hit_rate", "hit_rate", 1),
+            ("cache_evictions", "total_evictions", 1),
+            ("cache_uploads", "total_uploads", 1),
+            ("cache_bytes_transferred_mb", "total_bytes_transferred", 1e6),
+            ("cache_stall_ms", "total_stall_us", 1e3))
 
     points: list[CachePoint] = field(default_factory=list)
 
@@ -329,15 +353,6 @@ class ExpertCacheTimeline:
     def total_stall_us(self) -> float:
         return sum(p.stall_us for p in self.points)
 
-    def summary(self) -> dict[str, float]:
-        return {
-            "cache_hit_rate": self.hit_rate,
-            "cache_evictions": float(self.total_evictions),
-            "cache_uploads": float(self.total_uploads),
-            "cache_bytes_transferred_mb": self.total_bytes_transferred / 1e6,
-            "cache_stall_ms": self.total_stall_us / 1e3,
-        }
-
     def as_dict(self) -> dict:
         """JSON-ready trajectory (times in ms)."""
         return {
@@ -352,15 +367,24 @@ class ExpertCacheTimeline:
 
 
 @dataclass
-class FaultStats:
+class FaultStats(CounterSection):
     """Fault, retry, shedding, and degradation counters of one serving run.
 
-    Attached to :class:`ServingStats` by the continuous-batching server
-    when a fault injector or a resilience policy is active; the
-    aggregate view (fault counters, retry histogram, shed/degraded
-    counts, recovery times) lands in :meth:`ServingStats.summary` via
-    :meth:`summary`.
+    On when a fault injector or a resilience policy is active.  The
+    summary appends the retry histogram as ``fault_retry_attempt_<n>``.
     """
+
+    KEYS = (("fault_upload_failures", "upload_failures", 1),
+            ("fault_retries_attempted", "retries_attempted", 1),
+            ("fault_retries_succeeded", "retries_succeeded", 1),
+            ("fault_retries_abandoned", "retries_abandoned", 1),
+            ("fault_shed_requests", "shed_requests", 1),
+            ("fault_timed_out_requests", "timed_out_requests", 1),
+            ("fault_degraded_entries", "degraded_entries", 1),
+            ("fault_degraded_iterations", "degraded_iterations", 1),
+            ("fault_recoveries", "n_recoveries", 1),
+            ("fault_mean_recovery_ms", "mean_recovery_us", 1e3),
+            ("fault_stall_ms", "fault_stall_us", 1e3))
 
     upload_failures: int = 0
     retries_attempted: int = 0
@@ -381,6 +405,11 @@ class FaultStats:
             self.retry_attempt_histogram.get(attempt, 0) + 1)
 
     @property
+    def n_recoveries(self) -> int:
+        """Completed returns from degraded mode to normal operation."""
+        return len(self.recovery_times_us)
+
+    @property
     def mean_recovery_us(self) -> float:
         """Mean time from entering degraded mode back to normal operation."""
         if not self.recovery_times_us:
@@ -388,20 +417,8 @@ class FaultStats:
         return sum(self.recovery_times_us) / len(self.recovery_times_us)
 
     def summary(self) -> dict[str, float]:
-        """Flat ``fault_*`` counters merged into ``ServingStats.summary()``."""
-        out = {
-            "fault_upload_failures": float(self.upload_failures),
-            "fault_retries_attempted": float(self.retries_attempted),
-            "fault_retries_succeeded": float(self.retries_succeeded),
-            "fault_retries_abandoned": float(self.retries_abandoned),
-            "fault_shed_requests": float(self.shed_requests),
-            "fault_timed_out_requests": float(self.timed_out_requests),
-            "fault_degraded_entries": float(self.degraded_entries),
-            "fault_degraded_iterations": float(self.degraded_iterations),
-            "fault_recoveries": float(len(self.recovery_times_us)),
-            "fault_mean_recovery_ms": self.mean_recovery_us / 1e3,
-            "fault_stall_ms": self.fault_stall_us / 1e3,
-        }
+        """The ``KEYS`` counters plus one key per retry attempt number."""
+        out = super().summary()
         for attempt in sorted(self.retry_attempt_histogram):
             out[f"fault_retry_attempt_{attempt}"] = float(
                 self.retry_attempt_histogram[attempt])
@@ -409,16 +426,25 @@ class FaultStats:
 
 
 @dataclass
-class PreemptionStats:
+class PreemptionStats(CounterSection):
     """Preemption, swap/recompute, and resume counters of one serving run.
 
-    Attached to :class:`ServingStats` by the continuous-batching server
-    when a :class:`~repro.serving.priority.PriorityConfig` is active.
+    On when a :class:`~repro.serving.priority.PriorityConfig` is active.
     ``swap_stall_us`` is the total serving-clock time spent moving KV
     pages over PCIe (swap-out plus swap-in, on the possibly degraded
     link); ``recompute_tokens`` counts context tokens discarded by the
     recompute mechanism (each re-enters the prefill pipeline on resume).
     """
+
+    KEYS = (("preempt_total", "preemptions", 1),
+            ("preempt_swaps", "swaps", 1),
+            ("preempt_recomputes", "recomputes", 1),
+            ("preempt_resumes", "resumes", 1),
+            ("preempt_swap_out_mb", "swap_out_bytes", 1e6),
+            ("preempt_swap_in_mb", "swap_in_bytes", 1e6),
+            ("preempt_swap_stall_ms", "swap_stall_us", 1e3),
+            ("preempt_recompute_tokens", "recompute_tokens", 1),
+            ("preempt_shed_while_preempted", "shed_while_preempted", 1))
 
     preemptions: int = 0
     swaps: int = 0
@@ -431,33 +457,21 @@ class PreemptionStats:
     shed_while_preempted: int = 0
 
     def summary(self) -> dict[str, float]:
-        """Flat ``preempt_*`` counters merged into ``ServingStats.summary()``.
+        """Empty until the first preemption fires.
 
-        Merged only when at least one preemption fired: an *inert*
+        Every counter is downstream of a preemption, so an *inert*
         priority config (single class, or preemption never triggered)
-        must leave the summary bit-identical to the FIFO scheduler's.
+        leaves the summary bit-identical to the FIFO scheduler's.
         """
-        return {
-            "preempt_total": float(self.preemptions),
-            "preempt_swaps": float(self.swaps),
-            "preempt_recomputes": float(self.recomputes),
-            "preempt_resumes": float(self.resumes),
-            "preempt_swap_out_mb": self.swap_out_bytes / 1e6,
-            "preempt_swap_in_mb": self.swap_in_bytes / 1e6,
-            "preempt_swap_stall_ms": self.swap_stall_us / 1e3,
-            "preempt_recompute_tokens": float(self.recompute_tokens),
-            "preempt_shed_while_preempted": float(self.shed_while_preempted),
-        }
+        return super().summary() if self.preemptions else {}
 
 
 @dataclass
-class GraphStats:
+class GraphStats(CounterSection):
     """CUDA-graph cache and grouped-GEMM dispatch counters of one run.
 
-    Attached to :class:`ServingStats` by the continuous-batching server
-    when a :class:`~repro.sched.cuda_graph.GraphCacheConfig` or a
-    non-legacy expert-GEMM dispatch is active; the aggregate view lands
-    in :meth:`ServingStats.summary` via :meth:`summary`.
+    On when a :class:`~repro.sched.cuda_graph.GraphCacheConfig` or a
+    non-legacy expert-GEMM dispatch is active.
 
     ``captures``/``replays``/``evictions`` mirror the
     :class:`~repro.sched.cuda_graph.GraphCache` counters at run end;
@@ -470,6 +484,17 @@ class GraphStats:
     (``n_hit_experts - 1`` per MoE layer whenever it won).
     """
 
+    KEYS = (("graph_captures", "captures", 1),
+            ("graph_replays", "replays", 1),
+            ("graph_evictions", "evictions", 1),
+            ("graph_capture_stall_ms", "capture_stall_us", 1e3),
+            ("graph_padding_tokens", "padding_tokens", 1),
+            ("grouped_gemm_iterations", "grouped_gemm_iterations", 1),
+            ("grouped_gemm_per_expert_iterations", "per_expert_iterations",
+             1),
+            ("grouped_gemm_launches_saved", "grouped_gemm_launches_saved",
+             1))
+
     captures: int = 0
     replays: int = 0
     evictions: int = 0
@@ -479,29 +504,12 @@ class GraphStats:
     per_expert_iterations: int = 0
     grouped_gemm_launches_saved: int = 0
 
-    def summary(self) -> dict[str, float]:
-        """Flat ``graph_*``/``grouped_gemm_*`` counters for the summary."""
-        return {
-            "graph_captures": float(self.captures),
-            "graph_replays": float(self.replays),
-            "graph_evictions": float(self.evictions),
-            "graph_capture_stall_ms": self.capture_stall_us / 1e3,
-            "graph_padding_tokens": float(self.padding_tokens),
-            "grouped_gemm_iterations": float(self.grouped_gemm_iterations),
-            "grouped_gemm_per_expert_iterations": float(
-                self.per_expert_iterations),
-            "grouped_gemm_launches_saved": float(
-                self.grouped_gemm_launches_saved),
-        }
-
 
 @dataclass
-class PipelineStats:
+class PipelineStats(CounterSection):
     """Pipeline-stage pricing counters of one serving run.
 
-    Attached to :class:`ServingStats` by the continuous-batching server
-    when ``BatchSchedulerConfig.pipeline_stages > 1``; the flat view
-    lands in :meth:`ServingStats.summary` via :meth:`summary`.
+    On when ``BatchSchedulerConfig.pipeline_stages > 1``.
 
     ``serial_us`` is what the same iterations would have cost unsplit
     (the single-GPU price, cache/fault/jitter effects included);
@@ -512,34 +520,39 @@ class PipelineStats:
     pays the handoffs (pipelining buys VRAM headroom, not speed).
     """
 
+    KEYS = (("pipeline_stages", "n_stages", 1),
+            ("pipeline_iterations", "staged_iterations", 1),
+            ("pipeline_serial_ms", "serial_us", 1e3),
+            ("pipeline_staged_ms", "staged_us", 1e3),
+            ("pipeline_interstage_ms", "interstage_transfer_us", 1e3),
+            ("pipeline_step_speedup", "step_speedup", 1))
+
     n_stages: int = 1
     staged_iterations: int = 0
     serial_us: float = 0.0
     staged_us: float = 0.0
     interstage_transfer_us: float = 0.0
 
-    def summary(self) -> dict[str, float]:
-        """Flat ``pipeline_*`` counters for the summary."""
-        return {
-            "pipeline_stages": float(self.n_stages),
-            "pipeline_iterations": float(self.staged_iterations),
-            "pipeline_serial_ms": self.serial_us / 1e3,
-            "pipeline_staged_ms": self.staged_us / 1e3,
-            "pipeline_interstage_ms": self.interstage_transfer_us / 1e3,
-            "pipeline_step_speedup": (self.serial_us / self.staged_us
-                                      if self.staged_us > 0 else 1.0),
-        }
+    @property
+    def step_speedup(self) -> float:
+        """Unsplit over staged step time (1.0 before any staged step)."""
+        return self.serial_us / self.staged_us if self.staged_us > 0 else 1.0
+
+    @classmethod
+    def merged(cls, parts: list["PipelineStats"]) -> "PipelineStats":
+        """Field-wise sum of ``parts``; the stage count is the first's."""
+        return cls(n_stages=parts[0].n_stages, **{
+            f.name: sum(getattr(p, f.name) for p in parts)
+            for f in fields(cls) if f.name != "n_stages"})
 
 
 @dataclass
-class SessionStats:
+class SessionStats(CounterSection):
     """Prefix-cache and KV-tier counters of one serving run.
 
-    Attached to :class:`ServingStats` by the continuous-batching server
-    when a :class:`~repro.serving.prefix_cache.PrefixCacheConfig` is
-    active; the flat view lands in :meth:`ServingStats.summary` via
-    :meth:`summary` (``prefix_*`` keys for radix-cache reuse,
-    ``tier_*`` keys for the host-DRAM layer).
+    On when a :class:`~repro.serving.prefix_cache.PrefixCacheConfig` is
+    active: ``prefix_*`` keys for radix-cache reuse, ``tier_*`` keys for
+    the host-DRAM layer.
 
     ``prefill_tokens_avoided`` counts prompt tokens served as cached
     page references instead of prefill work; ``swap_*_bytes`` price the
@@ -548,6 +561,23 @@ class SessionStats:
     ``prefetch_hits`` counts unparks whose ahead-of-turn transfer
     finished before the turn arrived (zero stall).
     """
+
+    KEYS = (("prefix_hits", "prefix_hits", 1),
+            ("prefix_misses", "prefix_misses", 1),
+            ("prefix_prompt_tokens", "prompt_tokens_total", 1),
+            ("prefix_tokens_avoided", "prefill_tokens_avoided", 1),
+            ("prefix_reuse_fraction", "reuse_fraction", 1),
+            ("prefix_inserted_tokens", "inserted_tokens", 1),
+            ("prefix_evicted_tokens", "evicted_tokens", 1),
+            ("prefix_peak_gpu_tokens", "peak_gpu_cached_tokens", 1),
+            ("tier_parked_tokens", "parked_tokens", 1),
+            ("tier_unparked_tokens", "unparked_tokens", 1),
+            ("tier_dropped_host_tokens", "dropped_host_tokens", 1),
+            ("tier_swap_out_mb", "swap_out_bytes", 1e6),
+            ("tier_swap_in_mb", "swap_in_bytes", 1e6),
+            ("tier_swap_in_stall_ms", "swap_in_stall_us", 1e3),
+            ("tier_prefetch_hits", "prefetch_hits", 1),
+            ("tier_peak_host_tokens", "peak_host_tokens", 1))
 
     prefix_hits: int = 0
     prefix_misses: int = 0
@@ -571,27 +601,6 @@ class SessionStats:
         if self.prompt_tokens_total == 0:
             return 0.0
         return self.prefill_tokens_avoided / self.prompt_tokens_total
-
-    def summary(self) -> dict[str, float]:
-        """Flat ``prefix_*``/``tier_*`` counters for the summary."""
-        return {
-            "prefix_hits": float(self.prefix_hits),
-            "prefix_misses": float(self.prefix_misses),
-            "prefix_prompt_tokens": float(self.prompt_tokens_total),
-            "prefix_tokens_avoided": float(self.prefill_tokens_avoided),
-            "prefix_reuse_fraction": self.reuse_fraction,
-            "prefix_inserted_tokens": float(self.inserted_tokens),
-            "prefix_evicted_tokens": float(self.evicted_tokens),
-            "prefix_peak_gpu_tokens": float(self.peak_gpu_cached_tokens),
-            "tier_parked_tokens": float(self.parked_tokens),
-            "tier_unparked_tokens": float(self.unparked_tokens),
-            "tier_dropped_host_tokens": float(self.dropped_host_tokens),
-            "tier_swap_out_mb": self.swap_out_bytes / 1e6,
-            "tier_swap_in_mb": self.swap_in_bytes / 1e6,
-            "tier_swap_in_stall_ms": self.swap_in_stall_us / 1e3,
-            "tier_prefetch_hits": float(self.prefetch_hits),
-            "tier_peak_host_tokens": float(self.peak_host_tokens),
-        }
 
 
 @dataclass(frozen=True)
@@ -617,9 +626,18 @@ _ZERO_SUMMARY_KEYS = (
 )
 
 
+# ServingStats' optional counter sections, in summary order.
+_SECTIONS = ("expert_cache", "faults", "preemptions", "graphs", "sessions",
+             "pipeline", "controller")
+
+
 @dataclass
 class ServingStats:
-    """Aggregate statistics over a batch of served requests."""
+    """Aggregate statistics over a batch of served requests.
+
+    Each optional section is a :class:`CounterSection`, ``None`` while
+    its feature is off.
+    """
 
     timings: list[RequestTiming] = field(default_factory=list)
     expert_cache: ExpertCacheTimeline | None = None
@@ -645,15 +663,8 @@ class ServingStats:
 
     @property
     def n_shed(self) -> int:
-        """Shed submissions: the recorded arrivals, or the bare counter.
-
-        The serving loop records every shed arrival via
-        :meth:`record_shed`; stats assembled by hand may only carry the
-        :class:`FaultStats` counter, which is honoured as a fallback.
-        """
-        if self.shed:
-            return len(self.shed)
-        return self.faults.shed_requests if self.faults is not None else 0
+        """Shed submissions, one per :meth:`record_shed` call."""
+        return len(self.shed)
 
     def _values(self, attr: str) -> list[float]:
         return [getattr(t, attr) for t in self.timings]
@@ -680,31 +691,10 @@ class ServingStats:
 
     def _attached_summaries(self) -> dict[str, float]:
         out: dict[str, float] = {}
-        if self.expert_cache is not None:
-            out.update(self.expert_cache.summary())
-        if self.faults is not None:
-            out.update(self.faults.summary())
-        if self.preemptions is not None and self.preemptions.preemptions:
-            # Every preempt_* counter is downstream of >= 1 preemption,
-            # so an inert priority config adds no keys at all -- the
-            # summary stays bit-identical to the FIFO scheduler's.
-            out.update(self.preemptions.summary())
-        if self.graphs is not None:
-            # Attached only when a graph cache or a non-legacy dispatch
-            # is configured, so legacy summaries carry no graph_* keys.
-            out.update(self.graphs.summary())
-        if self.sessions is not None:
-            # Attached only when a prefix cache is configured, so
-            # sessionless summaries carry no prefix_*/tier_* keys.
-            out.update(self.sessions.summary())
-        if self.pipeline is not None:
-            # Attached only when the layer stack is sharded, so
-            # single-stage summaries carry no pipeline_* keys.
-            out.update(self.pipeline.summary())
-        if self.controller is not None:
-            # Attached only when an online controller drives the engine,
-            # so static-config summaries carry no ctrl_* keys.
-            out.update(self.controller.summary())
+        for name in _SECTIONS:
+            section = getattr(self, name)
+            if section is not None:
+                out.update(section.summary())
         return out
 
     def windowed(self, window_us: float, now_us: float,

@@ -242,6 +242,17 @@ class TestFleetStats:
         router = FleetRouter(
             lambda: make_server(pipeline_stages=2),
             FleetConfig(n_replicas=2, policy="round-robin"))
-        s = router.replay([req(0.0), req(1e5)]).summary()
+        stats = router.replay([req(0.0), req(1e5)])
+        parts = [e.pipeline for e in stats.epoch_stats]
+        assert len(parts) == 2 and stats.merged is not stats.epoch_stats[0]
+        s = stats.summary()
+        serial = sum(p.serial_us for p in parts)
+        staged = sum(p.staged_us for p in parts)
         assert s["pipeline_stages"] == 2.0
-        assert s["pipeline_iterations"] > 0
+        assert s["pipeline_iterations"] == float(
+            sum(p.staged_iterations for p in parts)) > 0
+        assert s["pipeline_serial_ms"] == serial / 1e3
+        assert s["pipeline_staged_ms"] == staged / 1e3
+        assert s["pipeline_interstage_ms"] == sum(
+            p.interstage_transfer_us for p in parts) / 1e3
+        assert s["pipeline_step_speedup"] == serial / staged
